@@ -6,7 +6,7 @@
 // SIGCOMM 2013 keynote "Zen and the art of network architecture".
 //
 // The implementation lives under internal/; cmd/ holds the binaries
-// and examples/ the runnable walkthroughs. bench_test.go in this
-// directory hosts one testing.B per experiment of the synthetic
-// evaluation suite (see DESIGN.md and EXPERIMENTS.md).
+// and examples/ the runnable walkthroughs. internal/experiments hosts
+// the synthetic evaluation suite and one testing.B per experiment (see
+// DESIGN.md and EXPERIMENTS.md).
 package repro

@@ -250,9 +250,11 @@ func TestNFStageRegisterUnregisterDuringTraffic(t *testing.T) {
 	for i := range frames {
 		frames[i] = udpFrame(t, hostA, hostB, uint16(1000+i), 80, "hammer")
 	}
+	reg := obs.NewRegistry()
+	sw.RegisterMetrics(reg, "dataplane.1")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for w := 0; w < 2; w++ {
+	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -262,10 +264,13 @@ func TestNFStageRegisterUnregisterDuringTraffic(t *testing.T) {
 					return
 				default:
 				}
-				if w == 0 {
+				switch w {
+				case 0:
 					sw.HandleFrame(1, frames[i%len(frames)])
-				} else {
+				case 1:
 					sw.HandleBurst(1, frames[:8])
+				default:
+					reg.Snapshot() // NF gauges come and go with the churn
 				}
 			}
 		}(w)
@@ -397,6 +402,38 @@ func TestNFStageMetricsRegistered(t *testing.T) {
 	sw.HandleFrame(1, udpFrame(t, hostA, hostB, 1, 2, "m"))
 	if v, _ := reg.Value("dataplane.42.nf.conntrack.entries"); v != 1 {
 		t.Errorf("conntrack entries gauge = %d", v)
+	}
+}
+
+// A stage registered after RegisterMetrics — the order core.Start and
+// the E15 overlay use — still gets its entries gauge.
+func TestNFStageMetricsRegisteredAfterMetrics(t *testing.T) {
+	sw, _ := testSwitch(t, Config{DropOnMiss: true})
+	reg := obs.NewRegistry()
+	sw.RegisterMetrics(reg, "dataplane.42")
+	if err := sw.RegisterStage(1, nf.NewConntrack(nf.ConntrackConfig{Idle: time.Minute})); err != nil {
+		t.Fatal(err)
+	}
+	addFlow(t, sw, zof.MatchAll(), 10, zof.NF(1), zof.Output(2))
+	sw.HandleFrame(1, udpFrame(t, hostA, hostB, 1, 2, "m"))
+	if v, ok := reg.Value("dataplane.42.nf.conntrack.entries"); !ok || v != 1 {
+		t.Errorf("conntrack entries gauge = %d (registered %v), want 1", v, ok)
+	}
+}
+
+// Unregistering a stage removes its gauge and leaves the others.
+func TestNFStageMetricsUnregistered(t *testing.T) {
+	sw, _, _, _ := ctNatSwitch(t, Config{DropOnMiss: true})
+	reg := obs.NewRegistry()
+	sw.RegisterMetrics(reg, "dataplane.42")
+	if !sw.UnregisterStage(2) {
+		t.Fatal("nat stage not registered")
+	}
+	if _, ok := reg.Value("dataplane.42.nf.nat.entries"); ok {
+		t.Error("nat gauge outlived its stage")
+	}
+	if _, ok := reg.Value("dataplane.42.nf.conntrack.entries"); !ok {
+		t.Error("conntrack gauge removed with the nat stage")
 	}
 }
 

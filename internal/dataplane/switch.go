@@ -11,6 +11,7 @@ import (
 	"repro/internal/flowtable"
 	"repro/internal/metrics"
 	"repro/internal/nf"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/zof"
 )
@@ -70,6 +71,11 @@ type Switch struct {
 	cache      *flowtable.MicroCache
 	buffers    *packetBuffers
 	burstSizes *metrics.Histogram // frames per HandleBurst call
+
+	// metricScope is the scope RegisterMetrics published into (nil
+	// before), kept so stage registration can add and remove NF gauges.
+	// Guarded by mu.
+	metricScope *obs.Scope
 
 	// PacketIns counts packets sent to the controller (test aid).
 	PacketIns atomic.Uint64
@@ -289,6 +295,7 @@ func (s *Switch) RegisterStage(id uint32, st nf.Stage) error {
 	}
 	s.stages[id] = st
 	s.publishLocked()
+	s.syncStageGaugeLocked(st.Name())
 	return nil
 }
 
@@ -299,11 +306,13 @@ func (s *Switch) RegisterStage(id uint32, st nf.Stage) error {
 func (s *Switch) UnregisterStage(id uint32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.stages[id]; !ok {
+	gone, ok := s.stages[id]
+	if !ok {
 		return false
 	}
 	delete(s.stages, id)
 	s.publishLocked()
+	s.syncStageGaugeLocked(gone.Name())
 	return true
 }
 

@@ -234,9 +234,11 @@ func (s *Switch) Trace(inPort uint32, data []byte) *PacketTrace {
 
 // RegisterMetrics publishes the switch's counters into r under prefix
 // (e.g. "dataplane.3"), as callback gauges reading the live atomics:
-// packet-in totals, microflow-cache effectiveness, and per-table
+// packet-in totals, microflow-cache effectiveness, per-table
 // lookup/match/occupancy figures named
-// <prefix>.flowtable.<table>.<stat>.
+// <prefix>.flowtable.<table>.<stat>, and <prefix>.nf.<module>.entries
+// for every NF stage, including stages registered later; a gauge goes
+// away with the last stage of its module.
 func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
 	sc := r.Scope(prefix)
 	sc.RegisterFunc("packet_ins", func() int64 { return int64(s.PacketIns.Load()) })
@@ -252,9 +254,35 @@ func (s *Switch) RegisterMetrics(r *obs.Registry, prefix string) {
 		ts.RegisterFunc("matches", func() int64 { return int64(t.Matches()) })
 		ts.RegisterFunc("active", func() int64 { return int64(t.Len()) })
 	}
-	for _, st := range s.pl.Load().stages {
-		st := st
-		sc.Scope("nf."+st.Name()).RegisterFunc("entries",
-			func() int64 { return int64(st.StateSummary().Entries) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.metricScope = &sc
+	for _, st := range s.stages {
+		s.syncStageGaugeLocked(st.Name())
 	}
+}
+
+// syncStageGaugeLocked keeps nf.<module>.entries, in the scope
+// RegisterMetrics recorded, in step with the registered stages: present
+// while the module has a stage, reading the sum of its stages' entries
+// in the live pipeline. Caller holds s.mu.
+func (s *Switch) syncStageGaugeLocked(module string) {
+	if s.metricScope == nil {
+		return
+	}
+	for _, st := range s.stages {
+		if st.Name() == module {
+			s.metricScope.Scope("nf."+module).RegisterFunc("entries", func() int64 {
+				var n int64
+				for _, st := range s.pl.Load().stages {
+					if st.Name() == module {
+						n += int64(st.StateSummary().Entries)
+					}
+				}
+				return n
+			})
+			return
+		}
+	}
+	s.metricScope.Unregister("nf." + module + ".entries")
 }

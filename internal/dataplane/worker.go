@@ -82,8 +82,8 @@ func (r *IngressRing) drain(dst [][]byte) int {
 // workerStats is one worker's counters, padded to a cache line so
 // neighbouring workers never false-share. Only the owning worker
 // writes; readers merge on demand (Stats, metrics snapshot) — the
-// run-to-completion answer to the shared striped-counter contention the
-// E7 harness exposed.
+// run-to-completion answer to shared striped-counter contention between
+// parallel ingress goroutines.
 type workerStats struct {
 	frames atomic.Uint64
 	bursts atomic.Uint64

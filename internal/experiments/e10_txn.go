@@ -85,14 +85,6 @@ const (
 	e10CrashCookie  = 0xE10DEAD
 )
 
-// e10Switch builds a two-port datapath.
-func e10Switch(dpid uint64) *dataplane.Switch {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
-	sw.AddPort(1, "in", 1000)
-	sw.AddPort(2, "out", 1000).SetTx(func([]byte) {})
-	return sw
-}
-
 // e10Canon renders a switch's flow table in canonical (sorted,
 // counter-free) form, so two captures compare byte-identical exactly
 // when the rules — matches, priorities, cookies, timeouts, actions —
@@ -187,14 +179,14 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	}
 	defer proxy.Close()
 	const victim = uint64(1)
-	sess := dataplane.StartSession(e10Switch(victim), dataplane.SessionConfig{
+	sess := dataplane.StartSession(sinkSwitch(victim), dataplane.SessionConfig{
 		Addr:       proxy.Addr(),
 		MinBackoff: 10 * time.Millisecond,
 		Seed:       1,
 	})
 	defer func() { sess.Close() }()
 	for i := 2; i <= cfg.Switches; i++ {
-		dp, err := dataplane.Connect(e10Switch(uint64(i)), ctl.Addr(), 2*time.Second)
+		dp, err := dataplane.Connect(sinkSwitch(uint64(i)), ctl.Addr(), 2*time.Second)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -351,7 +343,7 @@ func E10Transactions(cfg E10Config) (*Table, *E10Result, error) {
 	// Restart the victim empty and measure convergence back to the
 	// pre-transaction table, byte for byte (the auditor re-adds the
 	// recorded rules verbatim, cookies included).
-	vsw := e10Switch(victim)
+	vsw := sinkSwitch(victim)
 	sess = dataplane.StartSession(vsw, dataplane.SessionConfig{
 		Addr:       proxy.Addr(),
 		MinBackoff: 10 * time.Millisecond,

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/dataplane"
+	"repro/internal/packet"
+	"repro/internal/zof"
 )
 
 // E12Config parameterizes the burst-mode datapath scaling experiment.
@@ -28,11 +30,10 @@ type E12Point struct {
 	SpeedupVs1   float64 `json:"speedup_vs_1"` // vs workers=1, same mode and GOMAXPROCS
 }
 
-// E12Result is the machine-readable output (BENCH_e12.json). Unlike the
-// original E7 harness, GOMAXPROCS is swept explicitly and recorded per
-// point, and Warning is set whenever the host cannot actually run the
-// requested parallelism — the E7 blind spot where a single-core runner
-// silently reported meaningless worker scaling.
+// E12Result is the machine-readable output (BENCH_e12.json). GOMAXPROCS
+// is swept explicitly and recorded per point, and Warning is set
+// whenever the host cannot actually run the requested parallelism, so a
+// single-core runner never silently reports meaningless worker scaling.
 type E12Result struct {
 	NumCPU    int        `json:"num_cpu"`
 	MeasureMS int64      `json:"measure_ms"`
@@ -114,11 +115,53 @@ func E12BurstScaling(cfg E12Config) (*Table, *E12Result, error) {
 	return tbl, res, nil
 }
 
-// e12Point measures one cell: nw ingress lanes (the E7 fixture: one
-// flow, one ingress and one sink port per lane) driven in the given
-// mode for the measurement window, returning aggregate frames/s.
+// laneSwitch builds a switch with n disjoint forwarding lanes: lane i
+// receives its own microflow on ingress port i+1 and a dedicated flow
+// entry outputs it to egress port 1001+i (tx is a no-op sink). Disjoint
+// lanes mean the measurement exposes pipeline serialization, not
+// artificial contention on one entry's counters.
+func laneSwitch(n int) (*dataplane.Switch, [][]byte, error) {
+	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1, DropOnMiss: true})
+	frames := make([][]byte, n)
+	for w := 0; w < n; w++ {
+		in, out := uint32(w+1), uint32(1001+w)
+		sw.AddPort(in, fmt.Sprintf("in%d", w), 1000)
+		sw.AddPort(out, fmt.Sprintf("out%d", w), 1000).SetTx(func([]byte) {})
+		m := zof.MatchAll()
+		m.Wildcards &^= zof.WInPort
+		m.InPort = in
+		var repErr error
+		sw.Process(&zof.FlowMod{Command: zof.FlowAdd, Match: m, Priority: 10,
+			BufferID: zof.NoBuffer, Actions: []zof.Action{zof.Output(out)}}, 1,
+			func(rep zof.Message, _ uint32) {
+				if e, ok := rep.(*zof.Error); ok {
+					repErr = fmt.Errorf("flow add: %s", e.Detail)
+				}
+			})
+		if repErr != nil {
+			return nil, nil, repErr
+		}
+		buf := packet.NewBuffer(64)
+		buf.Append(22)
+		src := packet.IPv4Addr{10, 1, byte(w >> 8), byte(w)}
+		dst := packet.IPv4Addr{10, 2, byte(w >> 8), byte(w)}
+		udp := packet.UDP{SrcPort: uint16(4000 + w), DstPort: 53}
+		udp.SerializeToWithChecksum(buf, src, dst)
+		ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: src, Dst: dst}
+		ip.SerializeTo(buf)
+		eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
+		eth.SerializeTo(buf)
+		frames[w] = append([]byte(nil), buf.Bytes()...)
+		sw.HandleFrame(in, frames[w]) // warm the microflow cache
+	}
+	return sw, frames, nil
+}
+
+// e12Point measures one cell: nw ingress lanes (one flow, one ingress
+// and one sink port per lane) driven in the given mode for the
+// measurement window, returning aggregate frames/s.
 func e12Point(mode string, nw, burstN int, measure time.Duration) (float64, error) {
-	sw, frames, err := e7Switch(nw)
+	sw, frames, err := laneSwitch(nw)
 	if err != nil {
 		return 0, err
 	}

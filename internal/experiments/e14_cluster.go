@@ -52,12 +52,12 @@ type E14Failover struct {
 
 // E14Result is the machine-readable output (BENCH_e14.json).
 type E14Result struct {
-	Switches    int          `json:"switches"`
-	Rules       int          `json:"rules"`
-	LeaseTTLMS  float64      `json:"lease_ttl_ms"`
-	HeartbeatMS float64      `json:"heartbeat_ms"`
-	Crash       E14Failover  `json:"crash"`
-	Partition   E14Failover  `json:"partition"`
+	Switches    int         `json:"switches"`
+	Rules       int         `json:"rules"`
+	LeaseTTLMS  float64     `json:"lease_ttl_ms"`
+	HeartbeatMS float64     `json:"heartbeat_ms"`
+	Crash       E14Failover `json:"crash"`
+	Partition   E14Failover `json:"partition"`
 	// Aggregate packet-in dispatch throughput, switches spread across
 	// the two-instance cluster vs all homed on a single controller.
 	SingleEPS  float64 `json:"single_eps"`
@@ -141,32 +141,11 @@ func (m *e14Member) stop() {
 	m.ctl.Close()
 }
 
-func e14Switch(dpid uint64) *dataplane.Switch {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
-	sw.AddPort(1, "in", 1000)
-	sw.AddPort(2, "out", 1000).SetTx(func([]byte) {})
-	return sw
-}
-
 // e14Converged reports whether dpid's table at ctl holds exactly want
 // rules, all under the live session's epoch.
 func e14Converged(ctl *controller.Controller, dpid uint64, want int) bool {
 	sc, ok := ctl.Switch(dpid)
-	if !ok || !sc.Active() {
-		return false
-	}
-	rep, err := sc.Stats(&zof.StatsRequest{
-		Kind: zof.StatsFlow, TableID: 0xff, Match: zof.MatchAll(),
-	}, time.Second)
-	if err != nil || len(rep.Flows) != want {
-		return false
-	}
-	for _, f := range rep.Flows {
-		if controller.CookieEpoch(f.Cookie) != sc.Epoch() {
-			return false
-		}
-	}
-	return true
+	return ok && sc.Active() && e9Converged(sc, want)
 }
 
 // e14Describe summarizes per-switch table state for failure messages.
@@ -318,7 +297,7 @@ func e14Scenario(cfg E14Config, partition bool) (E14Failover, error) {
 	sessions := make([]*dataplane.Session, cfg.Switches)
 	for i := range switches {
 		dpids[i] = uint64(i + 1)
-		switches[i] = e14Switch(dpids[i])
+		switches[i] = sinkSwitch(dpids[i])
 		sessions[i] = dataplane.StartSession(switches[i], dataplane.SessionConfig{
 			Addrs:         []string{firstEndpoint, m1.ctl.Addr()},
 			MinBackoff:    10 * time.Millisecond,
@@ -388,7 +367,7 @@ func e14Throughput(cfg E14Config) (single, clustered float64, err error) {
 		switches := make([]*dataplane.Switch, cfg.Switches)
 		for i := range switches {
 			dpids[i] = uint64(i + 1)
-			switches[i] = e14Switch(dpids[i])
+			switches[i] = sinkSwitch(dpids[i])
 			addrs := make([]string, len(members))
 			for j := range members {
 				k := j

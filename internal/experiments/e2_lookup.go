@@ -83,6 +83,25 @@ func buildLookupFixture(n int, seed int64) *lookupFixture {
 	return fx
 }
 
+// lookupProbe is one structure's lookup over probe i.
+type lookupProbe struct {
+	name string
+	fn   func(i int)
+}
+
+// probes returns the per-structure lookups in E2's column order; E2
+// measures them with measureRate and BenchmarkE2Lookup under b.N.
+func (fx *lookupFixture) probes() []lookupProbe {
+	now := time.Unix(0, 0)
+	nf := len(fx.frames)
+	return []lookupProbe{
+		{"linear", func(i int) { fx.linear.Lookup(fx.frames[i%nf], 1, 64, now) }},
+		{"tuple", func(i int) { fx.tuple.Lookup(fx.frames[i%nf], 1) }},
+		{"lpm", func(i int) { fx.lpm.Lookup(fx.addrs[i%nf]) }},
+		{"exact", func(i int) { fx.exact.Get(fx.keys[i%nf]) }},
+	}
+}
+
 // measureRate runs fn repeatedly for roughly d and returns ops/sec.
 func measureRate(d time.Duration, fn func(i int)) float64 {
 	if d <= 0 {
@@ -122,21 +141,11 @@ func E2Lookup(cfg E2Config) *Table {
 	}
 	for _, n := range cfg.Sizes {
 		fx := buildLookupFixture(n, int64(n))
-		now := time.Unix(0, 0)
 		nf := len(fx.frames)
-
-		linear := measureRate(cfg.Measure, func(i int) {
-			fx.linear.Lookup(fx.frames[i%nf], 1, 64, now)
-		})
-		tuple := measureRate(cfg.Measure, func(i int) {
-			fx.tuple.Lookup(fx.frames[i%nf], 1)
-		})
-		lpm := measureRate(cfg.Measure, func(i int) {
-			fx.lpm.Lookup(fx.addrs[i%nf])
-		})
-		exact := measureRate(cfg.Measure, func(i int) {
-			fx.exact.Get(fx.keys[i%nf])
-		})
+		row := []string{fmt.Sprintf("%d", n)}
+		for _, p := range fx.probes() {
+			row = append(row, f0(measureRate(cfg.Measure, p.fn)))
+		}
 		// Micro-cache: warm it once, then measure hits.
 		gen := fx.linear.Gen()
 		for i, f := range fx.frames {
@@ -147,8 +156,7 @@ func E2Lookup(cfg E2Config) *Table {
 			key := flowtable.MakeCacheKey(fx.frames[i%nf], 1)
 			fx.cached.Get(key, gen)
 		})
-		t.AddRow(fmt.Sprintf("%d", n),
-			f0(linear), f0(tuple), f0(lpm), f0(exact), f0(cache))
+		t.AddRow(append(row, f0(cache))...)
 	}
 	return t
 }

@@ -18,6 +18,19 @@ type E4Config struct {
 	Seed      int64
 }
 
+// e4Transition solves the TE allocations before and after one random
+// demand shift on g, both with the given scratch headroom.
+func e4Transition(g *topo.Graph, demand float64, seed int64, scratch float64) (old, target *te.Allocation, err error) {
+	m1 := workload.Gravity(g, demand, seed)
+	m2 := workload.Perturb(m1, 0.8, seed+1000)
+	cfg := te.Config{KPaths: 4, Headroom: scratch}
+	if old, err = te.Solve(g, m1, cfg); err != nil {
+		return nil, nil, err
+	}
+	target, err = te.Solve(g, m2, cfg)
+	return old, target, err
+}
+
 // E4Update reproduces the SWAN/zUpdate safety table: random demand
 // shifts on the WAN are applied (a) naively in one asynchronous shot
 // and (b) via the interpolating planner. We count transitions with
@@ -51,14 +64,7 @@ func E4Update(cfg E4Config) (*Table, error) {
 	for _, s := range cfg.Scratches {
 		naiveBad, planFail, maxSteps, sumSteps, planned := 0, 0, 0, 0, 0
 		for trial := 0; trial < cfg.Trials; trial++ {
-			seed := cfg.Seed + int64(trial)*31
-			m1 := workload.Gravity(g, cfg.Demand, seed)
-			m2 := workload.Perturb(m1, 0.8, seed+1000)
-			old, err := te.Solve(g, m1, te.Config{KPaths: 4, Headroom: s})
-			if err != nil {
-				return nil, err
-			}
-			new_, err := te.Solve(g, m2, te.Config{KPaths: 4, Headroom: s})
+			old, new_, err := e4Transition(g, cfg.Demand, cfg.Seed+int64(trial)*31, s)
 			if err != nil {
 				return nil, err
 			}

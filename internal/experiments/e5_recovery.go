@@ -24,6 +24,30 @@ func (n *nopInstaller) Apply(ops []intent.RuleOp) error {
 	return nil
 }
 
+// submitMesh submits one intent per pair of ends and returns the last
+// intent id; ids run from 1.
+func submitMesh(mgr *intent.Manager, ends []topo.NodeID) (intent.ID, error) {
+	id := intent.ID(0)
+	for i := 0; i < len(ends); i++ {
+		for j := i + 1; j < len(ends); j++ {
+			id++
+			m := zof.MatchAll()
+			m.Wildcards &^= zof.WEthSrc | zof.WEthDst
+			m.EthSrc[4], m.EthSrc[5] = byte(i), byte(j)
+			m.EthDst[4], m.EthDst[5] = byte(j), byte(i)
+			if err := mgr.Submit(intent.Intent{
+				ID:    id,
+				Src:   intent.Endpoint{Node: ends[i], Port: 100},
+				Dst:   intent.Endpoint{Node: ends[j], Port: 100},
+				Match: m, Priority: 10,
+			}); err != nil {
+				return id, fmt.Errorf("intent %d: %w", id, err)
+			}
+		}
+	}
+	return id, nil
+}
+
 // E5Recovery measures failure recovery across topologies: submit an
 // all-pairs intent mesh, fail random links one at a time, record the
 // intent framework's recompile latency, rule churn, and path stretch;
@@ -66,23 +90,9 @@ func E5Recovery(cfg E5Config) (*Table, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 7))
 		inst := &nopInstaller{}
 		mgr := intent.NewManager(tc.graph, inst)
-		id := intent.ID(0)
-		for i := 0; i < len(tc.ends); i++ {
-			for j := i + 1; j < len(tc.ends); j++ {
-				id++
-				m := zof.MatchAll()
-				m.Wildcards &^= zof.WEthSrc | zof.WEthDst
-				m.EthSrc[4], m.EthSrc[5] = byte(i), byte(j)
-				m.EthDst[4], m.EthDst[5] = byte(j), byte(i)
-				if err := mgr.Submit(intent.Intent{
-					ID:    id,
-					Src:   intent.Endpoint{Node: tc.ends[i], Port: 100},
-					Dst:   intent.Endpoint{Node: tc.ends[j], Port: 100},
-					Match: m, Priority: 10,
-				}); err != nil {
-					return nil, fmt.Errorf("%s intent %d: %w", tc.name, id, err)
-				}
-			}
+		id, err := submitMesh(mgr, tc.ends)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
 		installedOps := inst.ops
 		inst.ops = 0

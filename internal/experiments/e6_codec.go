@@ -9,10 +9,7 @@ import (
 
 // buildUDPFrame builds a frame of roughly the requested size.
 func buildUDPFrame(size int) []byte {
-	payload := size - packet.EthernetHeaderLen - packet.IPv4MinHeaderLen - packet.UDPHeaderLen
-	if payload < 0 {
-		payload = 0
-	}
+	payload := max(size-packet.EthernetHeaderLen-packet.IPv4MinHeaderLen-packet.UDPHeaderLen, 0)
 	b := packet.NewBuffer(64)
 	b.Append(payload)
 	udp := packet.UDP{SrcPort: 5353, DstPort: 53}
@@ -26,23 +23,21 @@ func buildUDPFrame(size int) []byte {
 	return append([]byte(nil), b.Bytes()...)
 }
 
-// E6Codec measures the packet substrate: decode, decode+flow-key, and
-// full-stack serialize, per frame size, with allocations per op.
-// Shape: zero allocations on the decode paths; decode throughput in
-// the millions per second per core for small frames.
-func E6Codec() *Table {
-	t := &Table{
-		ID:     "E6",
-		Title:  "packet codec throughput",
-		Header: []string{"frame", "op", "ns/op", "allocs/op", "Mops/s"},
-		Notes:  []string{"expected shape: 0 allocs/op on decode; small-frame decode > 10 Mops/s"},
-	}
-	sizes := []int{64, 512, 1500}
-	for _, size := range sizes {
-		wire := buildUDPFrame(size)
-		label := fmt.Sprintf("%dB", size)
+// codecOp is one of E6's measured loops over a wire frame. E6Codec
+// runs it through testing.Benchmark, BenchmarkE6Codec through b.Run.
+type codecOp struct {
+	name  string // sub-benchmark name
+	label string // E6 "op" column
+	run   func(b *testing.B)
+}
 
-		decode := testing.Benchmark(func(b *testing.B) {
+// codecOps returns the decode, decode+flowkey and full-stack serialize
+// loops for a frame of the given size.
+func codecOps(size int) []codecOp {
+	wire := buildUDPFrame(size)
+	payload := max(size-42, 0)
+	return []codecOp{
+		{"decode", "decode", func(b *testing.B) {
 			var f packet.Frame
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -50,10 +45,8 @@ func E6Codec() *Table {
 					b.Fatal(err)
 				}
 			}
-		})
-		addBenchRow(t, label, "decode", decode)
-
-		flowkey := testing.Benchmark(func(b *testing.B) {
+		}},
+		{"flowkey", "decode+flowkey", func(b *testing.B) {
 			var f packet.Frame
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -63,14 +56,8 @@ func E6Codec() *Table {
 				k := packet.ExtractFlowKey(&f)
 				_ = k.FastHash()
 			}
-		})
-		addBenchRow(t, label, "decode+flowkey", flowkey)
-
-		payload := size - 42
-		if payload < 0 {
-			payload = 0
-		}
-		serialize := testing.Benchmark(func(b *testing.B) {
+		}},
+		{"serialize", "serialize", func(b *testing.B) {
 			buf := packet.NewBuffer(64)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -83,8 +70,30 @@ func E6Codec() *Table {
 				eth := packet.Ethernet{EtherType: packet.EtherTypeIPv4}
 				eth.SerializeTo(buf)
 			}
-		})
-		addBenchRow(t, label, "serialize", serialize)
+		}},
+	}
+}
+
+// E6Codec measures the packet substrate: decode, decode+flow-key, and
+// full-stack serialize, per frame size (default 64, 512 and 1500
+// bytes), with allocations per op. Shape: zero allocations on the
+// decode paths; decode throughput in the millions per second per core
+// for small frames.
+func E6Codec(sizes ...int) *Table {
+	if len(sizes) == 0 {
+		sizes = []int{64, 512, 1500}
+	}
+	t := &Table{
+		ID:     "E6",
+		Title:  "packet codec throughput",
+		Header: []string{"frame", "op", "ns/op", "allocs/op", "Mops/s"},
+		Notes:  []string{"expected shape: 0 allocs/op on decode; small-frame decode > 10 Mops/s"},
+	}
+	for _, size := range sizes {
+		label := fmt.Sprintf("%dB", size)
+		for _, op := range codecOps(size) {
+			addBenchRow(t, label, op.label, testing.Benchmark(op.run))
+		}
 	}
 	return t
 }

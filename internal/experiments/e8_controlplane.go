@@ -32,7 +32,7 @@ type E8Point struct {
 	ShardedP99MS float64 `json:"sharded_p99_ms"`
 }
 
-// E8Result is the machine-readable output (BENCH_e8.json). As with E7,
+// E8Result is the machine-readable output (BENCH_e8.json). As with E12,
 // scaling is bounded by GOMAXPROCS: on a single-core host the serial
 // and sharded dispatchers timeshare one CPU and speedup hovers around
 // 1.0 — the claim there is "no collapse" (sharding and coalescing cost

@@ -98,10 +98,10 @@ func (r *e9Recorder) drain() {
 	}
 }
 
-// e9Switch builds a fresh datapath with two ports (traffic in, sink
-// out) for DPID 1.
-func e9Switch() *dataplane.Switch {
-	sw := dataplane.NewSwitch(dataplane.Config{DPID: 1})
+// sinkSwitch builds a fresh datapath with two ports (traffic in, sink
+// out).
+func sinkSwitch(dpid uint64) *dataplane.Switch {
+	sw := dataplane.NewSwitch(dataplane.Config{DPID: dpid})
 	sw.AddPort(1, "in", 1000)
 	sw.AddPort(2, "out", 1000).SetTx(func([]byte) {})
 	return sw
@@ -209,7 +209,7 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	defer proxy.Close()
 
 	var target atomic.Pointer[dataplane.Switch]
-	target.Store(e9Switch())
+	target.Store(sinkSwitch(1))
 	sess := dataplane.StartSession(target.Load(), dataplane.SessionConfig{
 		Addr:       proxy.Addr(),
 		MinBackoff: backoff,
@@ -300,7 +300,7 @@ func e9Point(pi time.Duration, misses int, backoff time.Duration, rules int) (E9
 	if !e9WaitDown(rec, 10*time.Second) {
 		return pt, fmt.Errorf("SwitchDown after crash not observed")
 	}
-	target.Store(e9Switch())
+	target.Store(sinkSwitch(1))
 	t2 := time.Now()
 	sess2 := dataplane.StartSession(target.Load(), dataplane.SessionConfig{
 		Addr:       proxy.Addr(),

@@ -1,8 +1,8 @@
 // Package experiments implements the synthetic evaluation suite
-// declared in DESIGN.md (E1-E7): each experiment drives the platform
+// declared in DESIGN.md (E1-E15): each experiment drives the platform
 // with a generated workload and renders the table or data series the
 // corresponding SIGCOMM'13-style evaluation would report. cmd/zbench
-// is the CLI front end; the root bench_test.go wraps the same code in
+// is the CLI front end; bench_test.go wraps the same fixtures in
 // testing.B harnesses.
 package experiments
 
@@ -12,13 +12,14 @@ import (
 	"strings"
 )
 
-// Table is one experiment's rendered result.
+// Table is one experiment's rendered result; experiments without a
+// result type of their own also write it as their JSON result.
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	ID     string     `json:"id"`
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes"`
 }
 
 // AddRow appends a formatted row.

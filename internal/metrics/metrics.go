@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,7 +75,7 @@ func (h *Histogram) Observe(d time.Duration) {
 func (h *Histogram) ObserveValue(ns uint64) {
 	idx := 0
 	if ns > 0 {
-		idx = 63 - leadingZeros(ns)
+		idx = 63 - bits.LeadingZeros64(ns)
 		if idx >= histBuckets {
 			idx = histBuckets - 1
 		}
@@ -94,34 +95,6 @@ func (h *Histogram) ObserveValue(ns uint64) {
 			break
 		}
 	}
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x <= 0x00000000FFFFFFFF {
-		n += 32
-		x <<= 32
-	}
-	if x <= 0x0000FFFFFFFFFFFF {
-		n += 16
-		x <<= 16
-	}
-	if x <= 0x00FFFFFFFFFFFFFF {
-		n += 8
-		x <<= 8
-	}
-	if x <= 0x0FFFFFFFFFFFFFFF {
-		n += 4
-		x <<= 4
-	}
-	if x <= 0x3FFFFFFFFFFFFFFF {
-		n += 2
-		x <<= 2
-	}
-	if x <= 0x7FFFFFFFFFFFFFFF {
-		n++
-	}
-	return n
 }
 
 // Count returns the number of observations.

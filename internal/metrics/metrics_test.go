@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -129,5 +130,32 @@ func TestRate(t *testing.T) {
 	// 2 seconds later everything aged out.
 	if got := r.PerSecond(base.Add(3 * time.Second)); got != 0 {
 		t.Errorf("aged rate = %v", got)
+	}
+}
+
+// ObserveValue files x > 0 under bucket floor(log2 x), capped at the
+// last bucket, and 0 under bucket 0.
+func TestHistogramBucketIndex(t *testing.T) {
+	cases := []uint64{0, 1, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		cases = append(cases, 1<<k-1, 1<<k)
+	}
+	for _, x := range cases {
+		want := 0
+		for v := x; v > 1; v >>= 1 {
+			want++
+		}
+		want = min(want, histBuckets-1)
+		h := NewHistogram()
+		h.ObserveValue(x)
+		for i := range h.buckets {
+			exp := uint64(0)
+			if i == want {
+				exp = 1
+			}
+			if got := h.buckets[i].Load(); got != exp {
+				t.Errorf("ObserveValue(%d): bucket %d = %d, want %d", x, i, got, exp)
+			}
+		}
 	}
 }
